@@ -6,11 +6,14 @@
 //! ```
 //!
 //! Drains the job queue once (or, with `poll=SECS` and/or
-//! `socket=ADDR`, keeps draining as work arrives). Every drain replays
-//! the journal first, so the daemon may be SIGKILLed at any instant
+//! `socket=ADDR`, keeps draining as work arrives). The first drain
+//! replays the journal, so the daemon may be SIGKILLed at any instant
 //! and restarted: completed jobs are never recomputed, in-flight jobs
 //! resume from their last journaled point, and the final journal and
-//! reports are byte-identical to an uninterrupted run's.
+//! reports are byte-identical to an uninterrupted run's. Later drains
+//! share one control block and are warm: they parse only new queue
+//! lines and replay nothing they wrote themselves, unless a file
+//! changed under the daemon, which makes the drain replay cold.
 //!
 //! `jobs=K` schedules up to `K` jobs concurrently over the shared
 //! worker pool; the journal's record order is a pure function of the

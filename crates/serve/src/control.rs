@@ -1,17 +1,23 @@
 //! Shared runtime control surface of a serving daemon: the shutdown
 //! flag a socket `shutdown` request sets, the cancellation set a
-//! socket `cancel` request feeds, and the per-job status board the
-//! scheduler publishes for `status` queries.
+//! socket `cancel` request feeds, the per-job status board the
+//! scheduler publishes for `status` queries, and the drain state one
+//! drain pass leaves for the next.
 //!
 //! One [`ServeControl`] is shared (behind an `Arc`) between the drain
 //! loop, the scheduler's worker pool and the socket listener threads.
 //! It is deliberately *advisory*: the journal stays the single source
-//! of truth for progress; the status board is a best-effort live view.
+//! of truth for progress; the status board is a best-effort live view,
+//! and the drain state is a cache that every pass checks against the
+//! queue and journal bytes before trusting it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use crate::daemon::DrainState;
 
 /// Externally visible state of one job, published for `status`
 /// queries over the socket.
@@ -35,12 +41,19 @@ struct ControlInner {
     status: BTreeMap<String, JobView>,
 }
 
-/// The daemon's shared control block: shutdown flag, cancellation set
-/// and job status board. See the module docs.
+/// The daemon's shared control block: shutdown flag, cancellation set,
+/// job status board and warm drain state. See the module docs.
 #[derive(Debug, Default)]
 pub struct ServeControl {
     shutdown: AtomicBool,
     inner: Mutex<ControlInner>,
+    /// Signalled when the status board changes or a shutdown is
+    /// requested.
+    changed: Condvar,
+    /// Held while a submit appends to the queue file and while a drain
+    /// pass reads it.
+    queue: Mutex<()>,
+    drain: Mutex<DrainState>,
 }
 
 impl ServeControl {
@@ -48,6 +61,10 @@ impl ServeControl {
     /// in-flight units finish and are journaled, the drain exits.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        // Taking the lock orders the flag before any waiter's next
+        // check, so no status waiter misses the wakeup.
+        drop(self.inner.lock().expect("control lock"));
+        self.changed.notify_all();
     }
 
     /// Whether a shutdown has been requested.
@@ -83,13 +100,45 @@ impl ServeControl {
             .contains(id)
     }
 
-    /// Publishes the live view of job `id` to the status board.
+    /// Publishes the live view of job `id` to the status board. An
+    /// unchanged view is not republished.
     pub fn publish(&self, id: &str, view: JobView) {
-        self.inner
-            .lock()
-            .expect("control lock")
-            .status
-            .insert(id.to_owned(), view);
+        let mut inner = self.inner.lock().expect("control lock");
+        match inner.status.get_mut(id) {
+            Some(old) if *old == view => return,
+            Some(old) => *old = view,
+            None => {
+                inner.status.insert(id.to_owned(), view);
+            }
+        }
+        drop(inner);
+        self.changed.notify_all();
+    }
+
+    /// Waits until the published view of job `id` differs from `seen`,
+    /// a shutdown is requested, or `max` has passed, and returns the
+    /// view then.
+    #[must_use]
+    pub(crate) fn wait_for_change(
+        &self,
+        id: &str,
+        seen: Option<&JobView>,
+        max: Duration,
+    ) -> Option<JobView> {
+        let deadline = Instant::now() + max;
+        let mut inner = self.inner.lock().expect("control lock");
+        loop {
+            let view = inner.status.get(id);
+            let now = Instant::now();
+            if view != seen || self.is_shutdown() || now >= deadline {
+                return view.cloned();
+            }
+            inner = self
+                .changed
+                .wait_timeout(inner, deadline - now)
+                .expect("control lock")
+                .0;
+        }
     }
 
     /// The published view of job `id`, if any.
@@ -101,6 +150,26 @@ impl ServeControl {
             .status
             .get(id)
             .cloned()
+    }
+
+    /// Locks the queue file against this process's own appends. A large
+    /// enough append becomes visible to readers a page at a time, so a
+    /// pass reading the queue while a submit appends could see half a
+    /// line and journal its rejection.
+    pub(crate) fn lock_queue(&self) -> MutexGuard<'_, ()> {
+        self.queue.lock().expect("queue lock")
+    }
+
+    /// Takes the drain state the last pass left, leaving an empty
+    /// (cold) one. A pass that fails never puts its state back, so the
+    /// next pass replays cold.
+    pub(crate) fn take_drain_state(&self) -> DrainState {
+        std::mem::take(&mut *self.drain.lock().expect("drain lock"))
+    }
+
+    /// Keeps a completed pass's drain state for the next pass.
+    pub(crate) fn keep_drain_state(&self, state: DrainState) {
+        *self.drain.lock().expect("drain lock") = state;
     }
 }
 
@@ -152,6 +221,53 @@ mod tests {
         };
         control.publish("g1", view.clone());
         assert_eq!(control.view("g1"), Some(view));
+    }
+
+    #[test]
+    fn a_status_waiter_wakes_on_a_change_and_not_on_a_republish() {
+        let control = std::sync::Arc::new(ServeControl::default());
+        let view = |points: usize| JobView {
+            kind: "grid".into(),
+            points,
+            total_points: 4,
+            state: "running".into(),
+            error: None,
+        };
+        control.publish("g1", view(1));
+        // A view that already differs is returned at once.
+        let t = Instant::now();
+        assert_eq!(
+            control.wait_for_change("g1", None, Duration::from_secs(60)),
+            Some(view(1))
+        );
+        assert!(t.elapsed() < Duration::from_secs(30));
+        // A republished identical view is no change; a new one is,
+        // whenever either lands relative to the wait.
+        let publisher = {
+            let control = std::sync::Arc::clone(&control);
+            std::thread::spawn(move || {
+                control.publish("g1", view(1));
+                control.publish("g1", view(2));
+            })
+        };
+        let t = Instant::now();
+        let seen = control.wait_for_change("g1", Some(&view(1)), Duration::from_secs(60));
+        assert_eq!(seen, Some(view(2)), "only the change ends the wait");
+        assert!(
+            t.elapsed() < Duration::from_secs(30),
+            "woken, not timed out"
+        );
+        publisher.join().expect("publisher");
+        // With nothing changing, the wait ends at its limit.
+        let t = Instant::now();
+        let seen = control.wait_for_change("g1", Some(&view(2)), Duration::from_millis(30));
+        assert_eq!(seen, Some(view(2)));
+        assert!(t.elapsed() >= Duration::from_millis(30));
+        // A shutdown request ends any wait.
+        control.request_shutdown();
+        let t = Instant::now();
+        let _ = control.wait_for_change("g1", Some(&view(2)), Duration::from_secs(60));
+        assert!(t.elapsed() < Duration::from_secs(30));
     }
 
     #[test]

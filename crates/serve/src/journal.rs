@@ -28,7 +28,10 @@
 //! signature of a kill mid-append); [`JournalState::replay`] folds the
 //! records into per-job progress with full structural validation
 //! (start before point/end, contiguous point indices, nothing after
-//! end).
+//! end). The daemon folds each record into the state as it reads it,
+//! keeping no record list.
+
+use std::collections::HashMap;
 
 use flexray_bench::report::{malformed, num_field, str_field, Json};
 use flexray_model::{mix_words, ModelError};
@@ -248,6 +251,24 @@ impl Record {
     }
 }
 
+/// Parses the complete journal line (newline stripped) that starts at
+/// byte `offset`; a malformed line is an error naming the offset.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidConfig`] on a line that is not UTF-8
+/// or not a record.
+pub(crate) fn parse_journal_line(line: &[u8], offset: usize) -> Result<Record, ModelError> {
+    std::str::from_utf8(line)
+        .map_err(|e| ModelError::InvalidConfig(e.to_string()))
+        .and_then(Record::parse)
+        .map_err(|e| {
+            ModelError::InvalidConfig(format!(
+                "journal byte {offset}: corrupt record (not a torn tail): {e}"
+            ))
+        })
+}
+
 /// Recovers `(records, valid prefix byte length)` from raw journal
 /// content.
 ///
@@ -266,32 +287,28 @@ impl Record {
 pub fn read_journal(content: &str) -> Result<(Vec<Record>, usize), ModelError> {
     let mut records = Vec::new();
     let mut valid_len = 0usize;
-    let mut offset = 0usize;
     for line in content.split_inclusive('\n') {
-        if !line.ends_with('\n') {
+        let Some(line) = line.strip_suffix('\n') else {
             break; // torn tail
-        }
-        let record = Record::parse(line.trim_end_matches('\n')).map_err(|e| {
-            ModelError::InvalidConfig(format!(
-                "journal byte {offset}: corrupt record (not a torn tail): {e}"
-            ))
-        })?;
-        records.push(record);
-        offset += line.len();
-        valid_len = offset;
+        };
+        records.push(parse_journal_line(line.as_bytes(), valid_len)?);
+        valid_len += line.len() + 1;
     }
     Ok((records, valid_len))
 }
 
 /// Where journal records go as they are produced.
 ///
-/// The daemon's sink appends to the journal file (fsync'd per record);
-/// tests substitute in-memory or failing sinks. An `Err` from
+/// The daemon's sink appends each record to the journal file with one
+/// unbuffered `write_all` and no `fsync`: a record reported as written
+/// survives a kill of the process (it is in the kernel's page cache),
+/// but not a power loss or an operating-system crash. Tests substitute
+/// in-memory or failing sinks. An `Err` from
 /// [`append`](JournalSink::append) must abort the drain — the scheduler
 /// propagates it and the daemon exits with code 1 naming the journal
 /// path, never panicking.
 pub trait JournalSink {
-    /// Durably appends one record.
+    /// Appends one record.
     ///
     /// # Errors
     ///
@@ -310,26 +327,57 @@ pub struct JobProgress {
     pub fp: String,
     /// Total points the start record announced.
     pub total_points: usize,
-    /// Journaled point data, contiguous from point 0.
-    pub points: Vec<Json>,
+    /// Points journaled, contiguous from point 0.
+    pub points: usize,
+    /// Each journaled point's data as its canonical JSON text (the
+    /// codec's parse→write round trip is byte-stable, so this is
+    /// exactly the report line), until the daemon has written the
+    /// job's report and drops it.
+    pub data: Vec<String>,
     /// Terminal status, if the job's end record was journaled.
     pub status: Option<JobStatus>,
 }
 
-/// The fold of a journal: per-job progress plus the rejected lines.
+/// The fold of a journal: per-job progress plus the rejected lines,
+/// both indexed for constant-time lookup.
 #[derive(Debug, Clone, Default)]
 pub struct JournalState {
-    /// `(job id, progress)` in start-record order.
-    pub jobs: Vec<(String, JobProgress)>,
-    /// `(queue line number, fp, error)` of journaled rejections.
-    pub rejected: Vec<(usize, String, String)>,
+    /// Progress per job id.
+    jobs: HashMap<String, JobProgress>,
+    /// `(fp, error)` of journaled rejections, per queue line number.
+    rejected: HashMap<usize, (String, String)>,
+    /// Records folded so far (the header is record 0).
+    records: usize,
 }
 
 impl JournalState {
     /// Progress of job `id`, if journaled.
     #[must_use]
     pub fn job(&self, id: &str) -> Option<&JobProgress> {
-        self.jobs.iter().find(|(j, _)| j == id).map(|(_, p)| p)
+        self.jobs.get(id)
+    }
+
+    /// The journaled rejection of queue line `line` (1-based), as
+    /// `(fp, error)`.
+    #[must_use]
+    pub fn rejected(&self, line: usize) -> Option<(&str, &str)> {
+        self.rejected
+            .get(&line)
+            .map(|(fp, error)| (fp.as_str(), error.as_str()))
+    }
+
+    /// Records folded so far; `0` for a fresh journal.
+    #[must_use]
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// Drops the point data of job `id` once it is no longer needed
+    /// (its report is written); its point count stays.
+    pub(crate) fn release_data(&mut self, id: &str) {
+        if let Some(progress) = self.jobs.get_mut(id) {
+            progress.data = Vec::new();
+        }
     }
 
     /// Folds a record sequence into per-job progress, validating the
@@ -340,95 +388,109 @@ impl JournalState {
     /// Returns [`ModelError::InvalidConfig`] when the first record is
     /// not the header (or a header reappears), a point or end record
     /// precedes its start, a start or rejected record repeats, points
-    /// arrive out of order, records follow a job's end, or a done
-    /// record's point count disagrees with the journaled points.
+    /// arrive out of order, records follow a job's end, a done
+    /// record's point count disagrees with the journaled points, or a
+    /// point's data has no JSON text (a non-finite number).
     pub fn replay(records: &[Record]) -> Result<JournalState, ModelError> {
-        let fail = |msg: String| Err(ModelError::InvalidConfig(format!("journal replay: {msg}")));
         let mut state = JournalState::default();
-        for (k, record) in records.iter().enumerate() {
-            match record {
-                Record::Header { .. } => {
-                    if k != 0 {
-                        return fail(format!("header reappears at record {k}"));
-                    }
-                }
-                _ if k == 0 => {
-                    return fail("first record is not the schema header".into());
-                }
-                Record::Rejected { line, fp, error } => {
-                    if state.rejected.iter().any(|(l, _, _)| l == line) {
-                        return fail(format!("queue line {line} rejected twice"));
-                    }
-                    state.rejected.push((*line, fp.clone(), error.clone()));
-                }
-                Record::Start {
-                    job,
-                    kind,
-                    fp,
-                    total_points,
-                } => {
-                    if state.job(job).is_some() {
-                        return fail(format!("job '{job}' started twice"));
-                    }
-                    state.jobs.push((
-                        job.clone(),
-                        JobProgress {
-                            kind: kind.clone(),
-                            fp: fp.clone(),
-                            total_points: *total_points,
-                            points: Vec::new(),
-                            status: None,
-                        },
-                    ));
-                }
-                Record::Point { job, data } => {
-                    let Some((_, progress)) = state.jobs.iter_mut().find(|(j, _)| j == job) else {
-                        return fail(format!("point for job '{job}' before its start"));
-                    };
-                    if progress.status.is_some() {
-                        return fail(format!("point for job '{job}' after its end"));
-                    }
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let index = num_field(data, "point")? as usize;
-                    if index != progress.points.len() {
-                        return fail(format!(
-                            "job '{job}' point {index} journaled after {} point(s)",
-                            progress.points.len()
-                        ));
-                    }
-                    if index >= progress.total_points {
-                        return fail(format!(
-                            "job '{job}' point {index} beyond its {} total",
-                            progress.total_points
-                        ));
-                    }
-                    progress.points.push(data.clone());
-                }
-                Record::End { job, status } => {
-                    let Some((_, progress)) = state.jobs.iter_mut().find(|(j, _)| j == job) else {
-                        return fail(format!("end for job '{job}' before its start"));
-                    };
-                    if progress.status.is_some() {
-                        return fail(format!("job '{job}' ended twice"));
-                    }
-                    if let JobStatus::Done { points } = status {
-                        if *points != progress.points.len() || *points != progress.total_points {
-                            return fail(format!(
-                                "job '{job}' done with {points} point(s) but journaled {} of {}",
-                                progress.points.len(),
-                                progress.total_points
-                            ));
-                        }
-                    }
-                    progress.status = Some(status.clone());
-                }
-                // A stopped marker only says the drain exited early; it
-                // changes no job state and may appear any number of
-                // times (one per interrupted drain).
-                Record::Stopped => {}
-            }
+        for record in records {
+            state.apply(record)?;
         }
         Ok(state)
+    }
+
+    /// Folds one more record into the state.
+    ///
+    /// # Errors
+    ///
+    /// The violations [`replay`](Self::replay) lists.
+    pub(crate) fn apply(&mut self, record: &Record) -> Result<(), ModelError> {
+        let fail = |msg: String| Err(ModelError::InvalidConfig(format!("journal replay: {msg}")));
+        let k = self.records;
+        match record {
+            Record::Header { .. } => {
+                if k != 0 {
+                    return fail(format!("header reappears at record {k}"));
+                }
+            }
+            _ if k == 0 => {
+                return fail("first record is not the schema header".into());
+            }
+            Record::Rejected { line, fp, error } => {
+                if self.rejected.contains_key(line) {
+                    return fail(format!("queue line {line} rejected twice"));
+                }
+                self.rejected.insert(*line, (fp.clone(), error.clone()));
+            }
+            Record::Start {
+                job,
+                kind,
+                fp,
+                total_points,
+            } => {
+                if self.jobs.contains_key(job) {
+                    return fail(format!("job '{job}' started twice"));
+                }
+                self.jobs.insert(
+                    job.clone(),
+                    JobProgress {
+                        kind: kind.clone(),
+                        fp: fp.clone(),
+                        total_points: *total_points,
+                        points: 0,
+                        data: Vec::new(),
+                        status: None,
+                    },
+                );
+            }
+            Record::Point { job, data } => {
+                let Some(progress) = self.jobs.get_mut(job) else {
+                    return fail(format!("point for job '{job}' before its start"));
+                };
+                if progress.status.is_some() {
+                    return fail(format!("point for job '{job}' after its end"));
+                }
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                let index = num_field(data, "point")? as usize;
+                if index != progress.points {
+                    return fail(format!(
+                        "job '{job}' point {index} journaled after {} point(s)",
+                        progress.points
+                    ));
+                }
+                if index >= progress.total_points {
+                    return fail(format!(
+                        "job '{job}' point {index} beyond its {} total",
+                        progress.total_points
+                    ));
+                }
+                progress.data.push(data.write()?);
+                progress.points += 1;
+            }
+            Record::End { job, status } => {
+                let Some(progress) = self.jobs.get_mut(job) else {
+                    return fail(format!("end for job '{job}' before its start"));
+                };
+                if progress.status.is_some() {
+                    return fail(format!("job '{job}' ended twice"));
+                }
+                if let JobStatus::Done { points } = status {
+                    if *points != progress.points || *points != progress.total_points {
+                        return fail(format!(
+                            "job '{job}' done with {points} point(s) but journaled {} of {}",
+                            progress.points, progress.total_points
+                        ));
+                    }
+                }
+                progress.status = Some(status.clone());
+            }
+            // A stopped marker only says the drain exited early; it
+            // changes no job state and may appear any number of times
+            // (one per interrupted drain).
+            Record::Stopped => {}
+        }
+        self.records += 1;
+        Ok(())
     }
 }
 
@@ -506,7 +568,7 @@ mod tests {
         records.push(Record::Stopped);
         let state = JournalState::replay(&records).expect("stopped markers are transparent");
         let progress = state.job("g1").expect("job recovered");
-        assert_eq!(progress.points.len(), 2);
+        assert_eq!(progress.points, 2);
         assert_eq!(progress.status, Some(JobStatus::Done { points: 2 }));
         // But not *before* the header: the header-first invariant wins.
         assert!(JournalState::replay(&[Record::Stopped]).is_err());
@@ -556,11 +618,13 @@ mod tests {
     fn replay_validates_journal_structure() {
         let state = JournalState::replay(&well_formed()).expect("well-formed replays");
         assert_eq!(
-            state.rejected,
-            vec![(2, line_fp("garbage"), "malformed".to_owned())]
+            state.rejected(2),
+            Some((line_fp("garbage").as_str(), "malformed"))
         );
+        assert_eq!(state.rejected(1), None);
+        assert_eq!(state.records(), 6);
         let progress = state.job("g1").expect("job recovered");
-        assert_eq!(progress.points.len(), 2);
+        assert_eq!(progress.points, 2);
         assert_eq!(progress.status, Some(JobStatus::Done { points: 2 }));
 
         let header = Record::Header {

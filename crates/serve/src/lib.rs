@@ -31,7 +31,8 @@
 //! schema v2), [`scheduler`] the static-plan concurrent job scheduler
 //! (up to `jobs=K` jobs share the pool while the journal stays a
 //! deterministic function of `(queue, K)`), [`control`] the shared
-//! shutdown/cancel/status surface, [`socket`] the line-oriented JSONL
+//! shutdown/cancel/status surface and the drain state one pass leaves
+//! for the next, [`socket`] the line-oriented JSONL
 //! TCP front-end (`submit`/`status`/`cancel`/`drain`/`shutdown`), and
 //! [`daemon`] the queue-draining engine behind the `flexray-serve`
 //! binary.

@@ -139,15 +139,24 @@ pub fn plan_events(shapes: &[PlanShape], slots: usize) -> Vec<Event> {
 }
 
 /// One job handed to [`run_schedule`]: the parsed spec plus what the
-/// journal already knows about it.
+/// journal already knows about it. The point data itself stays in the
+/// journal fold; the scheduler only needs counts.
 #[derive(Debug, Clone)]
 pub struct ScheduledJob {
-    /// The parsed job spec.
-    pub spec: JobSpec,
+    /// Job id.
+    pub id: String,
+    /// Job kind as spelled in the spec (`grid`/`sweep`/`fig9`/`fuzz`).
+    pub kind_name: String,
+    /// The job's place in the plan.
+    pub shape: PlanShape,
+    /// The parsed job spec. Only a job with units left to compute needs
+    /// it, so a caller may drop it once the job is terminal; a job that
+    /// must compute without it fails.
+    pub spec: Option<JobSpec>,
     /// Fingerprint of the raw queue line (for the `start` record).
     pub fp: String,
-    /// Point data recovered from the journal, contiguous from point 0.
-    pub recovered: Vec<Json>,
+    /// Points already journaled, contiguous from point 0.
+    pub recovered: usize,
     /// Whether the journal already holds the job's `start` record.
     pub start_journaled: bool,
     /// The journaled terminal status, if any. Terminal jobs stay in
@@ -155,12 +164,36 @@ pub struct ScheduledJob {
     pub terminal: Option<JobStatus>,
 }
 
+impl ScheduledJob {
+    /// A job the journal knows nothing about yet.
+    #[must_use]
+    pub fn new(spec: JobSpec, fp: String) -> ScheduledJob {
+        let units_per_point = match &spec.kind {
+            JobKind::Grid(cfg) => cfg.apps_per_point,
+            JobKind::Fuzz(cfg) => cfg.apps_per_point,
+        };
+        ScheduledJob {
+            id: spec.id.clone(),
+            kind_name: spec.kind_name.clone(),
+            shape: PlanShape {
+                points: spec.total_points(),
+                units_per_point,
+            },
+            spec: Some(spec),
+            fp,
+            recovered: 0,
+            start_journaled: false,
+            terminal: None,
+        }
+    }
+}
+
 /// What [`run_schedule`] did for one job, index-aligned with its
 /// input slice.
 #[derive(Debug, Clone)]
 pub struct JobResult {
-    /// Points journaled by this drain, in point order.
-    pub new_points: Vec<Json>,
+    /// Points journaled by this drain.
+    pub new_points: usize,
     /// Optimiser candidate evaluations performed by this drain.
     pub evaluations: u64,
     /// Terminal status — `None` when the drain stopped with the job
@@ -168,18 +201,11 @@ pub struct JobResult {
     pub status: Option<JobStatus>,
 }
 
-fn units_per_point(spec: &JobSpec) -> usize {
-    match &spec.kind {
-        JobKind::Grid(cfg) => cfg.apps_per_point,
-        JobKind::Fuzz(cfg) => cfg.apps_per_point,
-    }
-}
-
 /// Whether a unit must actually compute: terminal jobs and units of
 /// already-journaled points are skipped. Must match between plan-time
 /// compute-list construction and the walk, record for record.
 fn needs_compute(job: &ScheduledJob, unit: usize) -> bool {
-    job.terminal.is_none() && unit >= job.recovered.len() * units_per_point(&job.spec)
+    job.terminal.is_none() && unit >= job.recovered * job.shape.units_per_point
 }
 
 enum Computed {
@@ -194,12 +220,15 @@ enum UnitOutcome {
 }
 
 fn compute_unit(job: &ScheduledJob, unit: usize, control: &ServeControl) -> UnitOutcome {
-    if control.is_cancelled(&job.spec.id) {
+    if control.is_cancelled(&job.id) {
         return UnitOutcome::Cancelled;
     }
-    let upp = units_per_point(&job.spec);
+    let Some(spec) = &job.spec else {
+        return UnitOutcome::Failed("job spec dropped before the job ended".into());
+    };
+    let upp = job.shape.units_per_point;
     let (point, app) = (unit / upp, unit % upp);
-    match &job.spec.kind {
+    match &spec.kind {
         JobKind::Grid(cfg) => match solve_app(cfg, &cfg.point(point), app) {
             Ok(run) => {
                 let evals: u64 = run.0.iter().map(|r| r.evaluations as u64).sum();
@@ -258,7 +287,7 @@ fn aggregate_point(spec: &JobSpec, point: usize, outcomes: Vec<Computed>) -> Jso
 struct WalkJob {
     current: Vec<Computed>,
     failed: Option<String>,
-    new_points: Vec<Json>,
+    new_points: usize,
     evaluations: u64,
     status: Option<JobStatus>,
 }
@@ -271,18 +300,18 @@ struct Walk {
 }
 
 fn publish_view(control: &ServeControl, job: &ScheduledJob, walk_job: &WalkJob) {
-    let points = job.recovered.len() + walk_job.new_points.len();
+    let points = job.recovered + walk_job.new_points;
     let (state, error, points) = match &walk_job.status {
         None => ("running", None, points),
         Some(JobStatus::Done { points }) => ("done", None, *points),
         Some(JobStatus::Failed { error }) => ("failed", Some(error.clone()), points),
     };
     control.publish(
-        &job.spec.id,
+        &job.id,
         JobView {
-            kind: job.spec.kind_name.clone(),
+            kind: job.kind_name.clone(),
             points,
-            total_points: job.spec.total_points(),
+            total_points: job.shape.points,
             state: state.into(),
             error,
         },
@@ -305,10 +334,10 @@ fn advance(
                 let job = &jobs[j];
                 if !job.start_journaled {
                     journal.append(&Record::Start {
-                        job: job.spec.id.clone(),
-                        kind: job.spec.kind_name.clone(),
+                        job: job.id.clone(),
+                        kind: job.kind_name.clone(),
                         fp: job.fp.clone(),
-                        total_points: job.spec.total_points(),
+                        total_points: job.shape.points,
                     })?;
                 }
             }
@@ -342,16 +371,17 @@ fn advance(
             Event::Point { job, point } => {
                 let scheduled = &jobs[job];
                 let fresh = scheduled.terminal.is_none()
-                    && point >= scheduled.recovered.len()
+                    && point >= scheduled.recovered
                     && walk.jobs[job].failed.is_none();
-                if fresh {
+                // A unit of a job without its spec fails, so a fresh
+                // point always has the spec.
+                if let (true, Some(spec)) = (fresh, &scheduled.spec) {
                     let outcomes = std::mem::take(&mut walk.jobs[job].current);
-                    let data = aggregate_point(&scheduled.spec, point, outcomes);
                     journal.append(&Record::Point {
-                        job: scheduled.spec.id.clone(),
-                        data: data.clone(),
+                        job: scheduled.id.clone(),
+                        data: aggregate_point(spec, point, outcomes),
                     })?;
-                    walk.jobs[job].new_points.push(data);
+                    walk.jobs[job].new_points += 1;
                     publish_view(control, scheduled, &walk.jobs[job]);
                 } else {
                     // Recovered, terminal or failure-suppressed: any
@@ -366,11 +396,11 @@ fn advance(
                     let status = match walk_job.failed.take() {
                         Some(error) => JobStatus::Failed { error },
                         None => JobStatus::Done {
-                            points: scheduled.spec.total_points(),
+                            points: scheduled.shape.points,
                         },
                     };
                     journal.append(&Record::End {
-                        job: scheduled.spec.id.clone(),
+                        job: scheduled.id.clone(),
                         status: status.clone(),
                     })?;
                     walk_job.status = Some(status);
@@ -403,13 +433,7 @@ pub fn run_schedule(
     stop_file: Option<&Path>,
     journal: &mut dyn JournalSink,
 ) -> Result<(Vec<JobResult>, bool), ModelError> {
-    let shapes: Vec<PlanShape> = jobs
-        .iter()
-        .map(|job| PlanShape {
-            points: job.spec.total_points(),
-            units_per_point: units_per_point(&job.spec),
-        })
-        .collect();
+    let shapes: Vec<PlanShape> = jobs.iter().map(|job| job.shape).collect();
     let events = plan_events(&shapes, slots);
     let compute: Vec<(usize, usize)> = events
         .iter()
@@ -427,7 +451,7 @@ pub fn run_schedule(
             .map(|job| WalkJob {
                 current: Vec::new(),
                 failed: None,
-                new_points: Vec::new(),
+                new_points: 0,
                 evaluations: 0,
                 status: job.terminal.clone(),
             })
@@ -631,13 +655,10 @@ mod tests {
     #[test]
     fn a_failing_journal_sink_aborts_the_drain_with_its_error_not_a_panic() {
         let line = r#"{"schema":"flexray-serve-job","version":1,"id":"g1","kind":"grid","args":["nodes=2","apps=1","mode=smoke","algos=bbc"]}"#;
-        let jobs = vec![ScheduledJob {
-            spec: parse_job(line).expect("valid spec"),
-            fp: line_fp(line),
-            recovered: Vec::new(),
-            start_journaled: false,
-            terminal: None,
-        }];
+        let jobs = vec![ScheduledJob::new(
+            parse_job(line).expect("valid spec"),
+            line_fp(line),
+        )];
         let control = ServeControl::default();
         let err = run_schedule(&jobs, 2, 1, &control, None, &mut FailingSink)
             .expect_err("sink failure must propagate");

@@ -12,7 +12,12 @@
 //!   the queue whole or without the line, never torn).
 //! * `{"req":"status","id":ID}` — the job's live view (`queued`,
 //!   `running`, `done`, `failed`) from the status board, falling back
-//!   to a queue scan for not-yet-drained jobs.
+//!   to the queue index for not-yet-drained jobs. A status that
+//!   repeats the connection's previous request, for a job still queued
+//!   or running and unchanged since, is answered when the job's state
+//!   changes or after [`STATUS_WAIT`], whichever comes first: a client
+//!   polling in a loop gets news as soon as there is any, without
+//!   spinning a CPU the drain needs.
 //! * `{"req":"cancel","id":ID}` — request cancellation; idempotent
 //!   (`already_cancelled` tells a repeat from a first cancel). The
 //!   job's unclaimed units short-circuit and it ends `failed
@@ -25,26 +30,44 @@
 //!
 //! Replies are `{"ok":true,…}` or `{"ok":false,"error":"…"}` with the
 //! error naming the offending token. Malformed requests never kill
-//! the connection — every line gets a reply. At most
-//! [`MAX_CONNECTIONS`] connections are served concurrently; excess
-//! connections get one `busy` error line and are closed.
+//! the connection — every line gets a reply, written as one segment
+//! with Nagle's algorithm off, so a round trip costs the request's
+//! handling, not a delayed-ACK stall. At most [`MAX_CONNECTIONS`]
+//! connections are served concurrently; excess connections get one
+//! `busy` error line and are closed.
+//!
+//! `submit`, `status` and `cancel` look ids up in a queue index kept
+//! under the queue lock: built by one scan on first use, then brought
+//! up to date by reading only the bytes appended since the last
+//! request (a line appended by hand is seen; a shrunk or rewritten
+//! file is rescanned), so a request costs what is new in the queue,
+//! not the whole queue.
 
-use std::fs::{self, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::collections::HashSet;
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use flexray_bench::report::{str_field, Json};
 
-use crate::control::ServeControl;
+use crate::control::{JobView, ServeControl};
 use crate::spec::parse_job;
 
 /// Concurrent connection cap; the accept loop answers excess
 /// connections with a single `busy` error line.
 pub const MAX_CONNECTIONS: usize = 16;
+
+/// Longest a repeated `status` query waits for the job's state to
+/// change before answering with the unchanged state.
+pub const STATUS_WAIT: Duration = Duration::from_millis(10);
+
+/// What a connection's previous request was answered with, when it was
+/// a `status` of a queued (`None`) or running job: the id and view.
+type LastStatus = Option<(String, Option<JobView>)>;
 
 /// Pass/submit bookkeeping behind the `drain` request and the poll
 /// loop's wakeup.
@@ -62,14 +85,72 @@ struct WakeState {
     kick: bool,
 }
 
+/// The ids of the queue file's parseable job lines, scanned
+/// incrementally.
+#[derive(Debug, Default)]
+struct QueueIndex {
+    /// Ids of the parseable job lines among the complete lines scanned.
+    ids: HashSet<String>,
+    /// Bytes of complete (newline-terminated) lines scanned.
+    scanned: u64,
+}
+
+impl QueueIndex {
+    /// Brings the index up to date with the queue file and returns its
+    /// final line when that lacks a newline (empty otherwise). Reads
+    /// only the bytes past the last complete line scanned, plus the one
+    /// byte before them, which must still be that line's newline; a
+    /// shrunk or rewritten file is rescanned from the start.
+    fn refresh(&mut self, path: &Path) -> Result<String, String> {
+        let read_err = |e: &dyn std::fmt::Display| format!("read queue {}: {e}", path.display());
+        let mut file = File::open(path).map_err(|e| read_err(&e))?;
+        let len = file.metadata().map_err(|e| read_err(&e))?.len();
+        let mut bytes = Vec::new();
+        let resume = self.scanned > 0 && len >= self.scanned && {
+            file.seek(SeekFrom::Start(self.scanned - 1))
+                .map_err(|e| read_err(&e))?;
+            file.read_to_end(&mut bytes).map_err(|e| read_err(&e))?;
+            bytes.first() == Some(&b'\n')
+        };
+        if resume {
+            bytes.drain(..1);
+        } else {
+            *self = QueueIndex::default();
+            bytes.clear();
+            file.seek(SeekFrom::Start(0)).map_err(|e| read_err(&e))?;
+            file.read_to_end(&mut bytes).map_err(|e| read_err(&e))?;
+        }
+        let mut fresh = String::from_utf8(bytes).map_err(|e| read_err(&e))?;
+        let complete = fresh.rfind('\n').map_or(0, |k| k + 1);
+        for line in fresh[..complete].lines() {
+            if let Some(id) = job_id(line) {
+                self.ids.insert(id);
+            }
+        }
+        self.scanned += complete as u64;
+        Ok(fresh.split_off(complete))
+    }
+}
+
+/// The id of a parseable job line; `None` for blanks, comments and
+/// malformed lines.
+fn job_id(line: &str) -> Option<String> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return None;
+    }
+    parse_job(line).ok().map(|spec| spec.id)
+}
+
 /// State shared between the socket listener threads and the daemon's
 /// drain loop.
 #[derive(Debug)]
 pub struct SocketShared {
     queue: PathBuf,
     control: Arc<ServeControl>,
-    /// Serialises queue-file read-check-append sequences.
-    queue_lock: Mutex<()>,
+    /// The queue index; its lock serialises queue-file
+    /// read-check-append sequences.
+    queue_lock: Mutex<QueueIndex>,
     wake: Mutex<WakeState>,
     cond: Condvar,
 }
@@ -81,7 +162,7 @@ impl SocketShared {
         SocketShared {
             queue,
             control,
-            queue_lock: Mutex::new(()),
+            queue_lock: Mutex::new(QueueIndex::default()),
             wake: Mutex::new(WakeState::default()),
             cond: Condvar::new(),
         }
@@ -146,16 +227,9 @@ fn reply_err(error: &str) -> String {
 
 /// Whether the queue file holds a (parseable) job with this id.
 fn queued_id(shared: &SocketShared, id: &str) -> Result<bool, String> {
-    let _guard = shared.queue_lock.lock().expect("queue lock");
-    let content = fs::read_to_string(&shared.queue)
-        .map_err(|e| format!("read queue {}: {e}", shared.queue.display()))?;
-    Ok(content.lines().any(|line| {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return false;
-        }
-        parse_job(line).is_ok_and(|spec| spec.id == id)
-    }))
+    let mut index = shared.queue_lock.lock().expect("queue lock");
+    let tail = index.refresh(&shared.queue)?;
+    Ok(index.ids.contains(id) || job_id(&tail).is_some_and(|tail_id| tail_id == id))
 }
 
 fn submit(shared: &SocketShared, json: &Json) -> Result<String, String> {
@@ -166,30 +240,25 @@ fn submit(shared: &SocketShared, json: &Json) -> Result<String, String> {
     let spec = parse_job(&raw).map_err(|e| format!("invalid spec: {e}"))?;
     let canonical = spec.to_line();
     {
-        let _guard = shared.queue_lock.lock().expect("queue lock");
-        let existing = fs::read_to_string(&shared.queue)
-            .map_err(|e| format!("read queue {}: {e}", shared.queue.display()))?;
-        for line in existing.lines() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            if parse_job(line).is_ok_and(|prior| prior.id == spec.id) {
-                return Err(format!("duplicate job id '{}'", spec.id));
-            }
+        let mut index = shared.queue_lock.lock().expect("queue lock");
+        let tail = index.refresh(&shared.queue)?;
+        if index.ids.contains(&spec.id) || job_id(&tail).is_some_and(|id| id == spec.id) {
+            return Err(format!("duplicate job id '{}'", spec.id));
         }
         // One write_all of one whole line on an O_APPEND handle: the
         // queue gains the complete line or nothing — never a torn
         // line. A missing final newline on the existing content (a
         // hand-edited queue) is healed by prefixing one, which leaves
         // every existing *line* — and so every journaled fingerprint —
-        // unchanged.
+        // unchanged. The index picks the new line up on the next
+        // request, like any other append.
         let mut payload = String::new();
-        if !existing.is_empty() && !existing.ends_with('\n') {
+        if !tail.is_empty() {
             payload.push('\n');
         }
         payload.push_str(&canonical);
         payload.push('\n');
+        let _appending = shared.control.lock_queue();
         let mut file = OpenOptions::new()
             .append(true)
             .open(&shared.queue)
@@ -210,31 +279,46 @@ fn submit(shared: &SocketShared, json: &Json) -> Result<String, String> {
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn status(shared: &SocketShared, json: &Json) -> Result<String, String> {
+fn status(
+    shared: &SocketShared,
+    json: &Json,
+    previous: LastStatus,
+    answered: &mut LastStatus,
+) -> Result<String, String> {
     let id = str_field(json, "id").map_err(|e| e.to_string())?;
-    if let Some(view) = shared.control.view(id) {
-        let mut extra = vec![
-            ("id".to_owned(), Json::Str(id.to_owned())),
-            ("state".to_owned(), Json::Str(view.state)),
-            ("kind".to_owned(), Json::Str(view.kind)),
-            ("points".to_owned(), Json::Num(view.points as f64)),
-            (
-                "total_points".to_owned(),
-                Json::Num(view.total_points as f64),
-            ),
-        ];
-        if let Some(error) = view.error {
-            extra.push(("error".to_owned(), Json::Str(error)));
-        }
-        return Ok(reply_ok(extra));
+    let mut view = shared.control.view(id);
+    if previous.is_some_and(|(last_id, last_view)| last_id == id && last_view == view) {
+        view = shared
+            .control
+            .wait_for_change(id, view.as_ref(), STATUS_WAIT);
     }
-    if queued_id(shared, id)? {
+    let Some(view) = view else {
+        if !queued_id(shared, id)? {
+            return Err(format!("unknown job id '{id}'"));
+        }
+        *answered = Some((id.to_owned(), None));
         return Ok(reply_ok(vec![
             ("id".to_owned(), Json::Str(id.to_owned())),
             ("state".to_owned(), Json::Str("queued".to_owned())),
         ]));
+    };
+    if view.state == "running" {
+        *answered = Some((id.to_owned(), Some(view.clone())));
     }
-    Err(format!("unknown job id '{id}'"))
+    let mut extra = vec![
+        ("id".to_owned(), Json::Str(id.to_owned())),
+        ("state".to_owned(), Json::Str(view.state)),
+        ("kind".to_owned(), Json::Str(view.kind)),
+        ("points".to_owned(), Json::Num(view.points as f64)),
+        (
+            "total_points".to_owned(),
+            Json::Num(view.total_points as f64),
+        ),
+    ];
+    if let Some(error) = view.error {
+        extra.push(("error".to_owned(), Json::Str(error)));
+    }
+    Ok(reply_ok(extra))
 }
 
 fn cancel(shared: &SocketShared, json: &Json) -> Result<String, String> {
@@ -283,7 +367,12 @@ fn shutdown(shared: &SocketShared) -> String {
     reply_ok(vec![("shutdown".to_owned(), Json::Bool(true))])
 }
 
-fn process(shared: &SocketShared, line: &str) -> Result<String, String> {
+fn process(
+    shared: &SocketShared,
+    last_status: &mut LastStatus,
+    line: &str,
+) -> Result<String, String> {
+    let previous = last_status.take();
     let json = Json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
     let Json::Obj(members) = &json else {
         return Err("request is not a JSON object".to_owned());
@@ -302,7 +391,7 @@ fn process(shared: &SocketShared, line: &str) -> Result<String, String> {
     }
     match req {
         "submit" => submit(shared, &json),
-        "status" => status(shared, &json),
+        "status" => status(shared, &json, previous, last_status),
         "cancel" => cancel(shared, &json),
         "drain" => drain(shared),
         _ => Ok(shutdown(shared)),
@@ -314,29 +403,38 @@ fn process(shared: &SocketShared, line: &str) -> Result<String, String> {
 /// `{"ok":false,"error":…}` reply naming the offending token.
 #[must_use]
 pub fn handle_request(shared: &SocketShared, line: &str) -> String {
-    match process(shared, line) {
+    handle_in(shared, &mut None, line)
+}
+
+/// [`handle_request`] on a connection whose previous request was
+/// answered with `last_status`.
+fn handle_in(shared: &SocketShared, last_status: &mut LastStatus, line: &str) -> String {
+    match process(shared, last_status, line) {
         Ok(reply) => reply,
         Err(error) => reply_err(&error),
     }
 }
 
 fn serve_connection(shared: &SocketShared, stream: TcpStream) {
+    // Each reply is one write of one whole line: with Nagle on, a
+    // second small write would wait for the client's delayed ACK.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut writer = stream;
     let reader = BufReader::new(read_half);
+    let mut last_status = None;
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let reply = handle_request(shared, &line);
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .is_err()
-        {
+        let mut reply = handle_in(shared, &mut last_status, &line);
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
             break;
         }
     }
