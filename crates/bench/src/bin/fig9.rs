@@ -1,42 +1,43 @@
 //! Regenerates Fig. 9: evaluation of the bus optimisation algorithms.
 //!
-//! Usage: fig9 [apps_per_point] [max_nodes] [fast|full|smoke] [threads]
-//! Defaults: 5 applications per node count, nodes 2..=5, full search
-//! parameters, one worker thread per hardware thread. The paper uses 25
-//! applications per point; pass 25 for the full run (slow: expect tens
-//! of minutes in release mode on one core — the per-seed loop scales
-//! with the thread count). The optional third argument `fast` shrinks
-//! the search caps for a quick qualitative run; the optional fourth
-//! argument pins the worker-thread count (`1` forces the serial path,
-//! whose deterministic output is identical to any parallel run).
+//! Usage: fig9 [nodes=n1,n2,...] [apps=N] [mode=fast|full|smoke]
+//!        [threads=N] [seed0=N] [eval_threads=N]
+//!
+//! Defaults: nodes 2,3,4,5, 5 applications per node count, full search
+//! parameters, seed0 42, one worker thread per hardware thread. The
+//! paper uses 25 applications per point; pass `apps=25` for the full
+//! run (slow: expect tens of minutes in release mode on one core — the
+//! per-seed loop scales with the thread count). `mode=fast` shrinks the
+//! search caps for a quick qualitative run; `threads=1` forces the
+//! serial path, whose deterministic output is identical to any
+//! parallel run.
+//!
+//! The grammar is the shared one of `flexray_bench::args` (also the
+//! `args` of a `fig9` serve job, minus `threads`); the experiment is
+//! the grid `flexray_bench::fig9::preset`. A malformed argument — a
+//! mistyped `mode=fsat` included — exits 2 with `fig9: <error>` naming
+//! it.
 
-use flexray_bench::fig9::{render, run_experiment, Fig9Config};
-use flexray_bench::sweep::search_mode;
+use flexray_bench::args::{from_env, Plan};
+use flexray_bench::fig9::render;
+use flexray_bench::grid::run_grid;
+use flexray_bench::sweep::SweepAxis;
 
 fn main() {
-    let mut cfg = Fig9Config::default();
-    if let Some(apps) = std::env::args().nth(1).and_then(|s| s.parse().ok()) {
-        cfg.apps_per_point = apps;
-    }
-    if let Some(maxn) = std::env::args().nth(2).and_then(|s| s.parse().ok()) {
-        cfg.node_counts = (2..=maxn).collect();
-    }
-    // the shared preset table; an unrecognised mode keeps the full
-    // search parameters, as this binary always did
-    if let Some((params, sa)) = std::env::args().nth(3).as_deref().and_then(search_mode) {
-        cfg.params = params;
-        cfg.sa = sa;
-    }
-    if let Some(threads) = std::env::args().nth(4).and_then(|s| s.parse().ok()) {
-        cfg.threads = threads;
-    }
+    let Plan::Grid(cfg) = from_env("fig9").plan else {
+        unreachable!("the fig9 grammar desugars to a grid plan")
+    };
+    let nodes = match cfg.axes.as_slice() {
+        [SweepAxis::NodeCount(nodes)] => nodes.as_slice(),
+        _ => unreachable!("the fig9 preset has one node-count axis"),
+    };
     println!(
         "Fig. 9 — {} applications per point, nodes {:?}, {} worker thread(s)",
         cfg.apps_per_point,
-        cfg.node_counts,
+        nodes,
         cfg.worker_threads()
     );
-    match run_experiment(&cfg) {
+    match run_grid(&cfg) {
         Ok(points) => println!("{}", render(&points)),
         Err(e) => {
             eprintln!("fig9 failed: {e}");

@@ -12,11 +12,11 @@
 //! ([`AggregatedGenStats`]: bus/CPU utilisation, relay and message
 //! counts, graph-depth histogram) of its instances.
 //!
-//! The single-axis harness and fig9 are degenerate grids:
-//! [`run_sweep`](crate::sweep::run_sweep) and
-//! [`fig9::run_experiment`](crate::fig9::run_experiment) both delegate
-//! here, with outputs bit-identical to their pre-grid implementations
-//! (locked down by the differential suite in `tests/grid.rs`).
+//! The single-axis harness and fig9 are degenerate grids: their
+//! [`sweep::preset`](crate::sweep::preset) and
+//! [`fig9::preset`](crate::fig9::preset) configurations run here, with
+//! outputs bit-identical to their pre-grid implementations (locked down
+//! by the differential suite in `tests/grid.rs`).
 //!
 //! # Determinism and ordering
 //!
@@ -48,12 +48,13 @@ use flexray_util::scoped_consume;
 /// How the base seed of a grid point is derived.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeedPolicy {
-    /// `seed0 + 1000·point_index + app` — the sweep convention; a
-    /// single-axis grid reproduces `run_sweep` seeds exactly.
+    /// `seed0 + 1000·point_index + app` — the sweep convention of
+    /// [`sweep::preset`](crate::sweep::preset).
     PointIndex,
     /// `seed0 + offsets[point_index] + app` — for harnesses whose seed
-    /// schedule predates the grid engine (fig9 seeds by *node count*,
-    /// not point index). Must hold one offset per grid point.
+    /// schedule predates the grid engine ([`fig9::preset`](crate::fig9::preset)
+    /// seeds by *node count*, not point index). Must hold one offset
+    /// per grid point.
     PointOffsets(Vec<u64>),
 }
 
@@ -146,11 +147,7 @@ impl GridConfig {
     /// to the available hardware parallelism.
     #[must_use]
     pub fn worker_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.threads
-        }
+        flexray_util::worker_threads(self.threads)
     }
 
     /// Index of the deviation reference within [`GridConfig::algos`]:
@@ -257,9 +254,14 @@ impl GridConfig {
     pub fn validate(&self) -> Result<(), ModelError> {
         let fail = |msg: String| Err(ModelError::InvalidConfig(msg));
         if self.workload.is_some() && !self.axes.is_empty() {
+            let names: Vec<String> = self
+                .axes
+                .iter()
+                .map(|a| format!("'{}'", a.name()))
+                .collect();
             return fail(format!(
-                "a workload grid runs one fixed scenario; remove the {} configured axes",
-                self.axes.len()
+                "a workload grid runs one fixed scenario; remove the configured axes {}",
+                names.join(", ")
             ));
         }
         for (k, axis) in self.axes.iter().enumerate() {

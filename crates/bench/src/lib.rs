@@ -6,13 +6,17 @@
 //! * [`fig3`] — ST-segment optimisation example (R3 = 16/12/10);
 //! * [`fig4`] — DYN-segment optimisation example (R2 = 37/35/21);
 //! * [`fig7`] — response time vs dynamic-segment length (U-shape);
-//! * [`fig9`] — BBC/OBCCF/OBCEE/SA comparison over synthetic sets;
+//! * [`fig9`] — BBC/OBCCF/OBCEE/SA comparison over synthetic sets, a
+//!   node-count grid preset;
 //! * [`sweep`] — generic single-axis sweeps over the v2 generator
 //!   (node count beyond 7, graph depth, gateway traffic, bus
-//!   utilisation), generalising `fig9`;
+//!   utilisation), one-axis grid presets generalising `fig9`;
 //! * [`grid`] — the factorial (cartesian-product) experiment engine
 //!   behind `sweep` and `fig9`, with per-point generator statistics
 //!   and a streaming, resumable JSON-lines/CSV [`report`];
+//! * [`args`] — the one strict `key=value` grammar of the `grid`,
+//!   `sweep`, `fig9` and `fuzz` binaries and of `flexray-serve` job
+//!   specs;
 //! * [`fuzz`] — a grid-driven divergence-hunting campaign that fuzzes
 //!   the simulator's execution order of simultaneous events across
 //!   generator corners and audits every run against the analysis;
@@ -23,8 +27,8 @@
 //! * [`cruise`] — the vehicle cruise-controller case study;
 //! * [`ablation`] — ablations of the reproduction's design choices.
 //!
-//! Each module has a `run`-style entry point used by the corresponding
-//! binary (`cargo run -p flexray-bench --bin fig3`, ...) and asserts the
+//! Each figure module has a `run`-style entry point (or a grid preset)
+//! used by the corresponding binary (`cargo run -p flexray-bench --bin fig3`, ...) and asserts the
 //! paper's qualitative claims in its tests.
 
 #![warn(missing_docs)]
@@ -32,6 +36,7 @@
 #![deny(deprecated)]
 
 pub mod ablation;
+pub mod args;
 pub mod cruise;
 pub mod fig3;
 pub mod fig4;

@@ -3,19 +3,16 @@
 //!
 //! * cartesian-product completeness and deterministic enumeration;
 //! * resume(partial ∪ rest) == full run, for every split point;
-//! * the refactored single-axis sweep and fig9 harnesses against
-//!   byte-level reference reimplementations of their pre-grid loops
-//!   (bit-identical deterministic output);
+//! * the single-axis sweep and fig9 grid presets against byte-level
+//!   reference reimplementations of their pre-grid loops (bit-identical
+//!   deterministic output);
 //! * JSON-lines report round-trips, torn-tail recovery;
 //! * a golden-file test pinning the JSONL/CSV schema — bumping
 //!   [`GRID_SCHEMA_VERSION`] breaks it on purpose.
 
-use flexray_bench::fig9::{run_experiment, Fig9Config, PointStats};
 use flexray_bench::grid::{run_grid, run_grid_resumed, GridConfig, GridPoint, SeedPolicy};
 use flexray_bench::report::{from_jsonl, to_csv, to_jsonl, GridReportHeader, GRID_SCHEMA_VERSION};
-use flexray_bench::sweep::{
-    aggregate_algos, run_sweep, Algo, AlgoStats, SweepAxis, SweepConfig, SweepPoint,
-};
+use flexray_bench::sweep::{aggregate_algos, Algo, AlgoStats, SweepAxis};
 use flexray_gen::{generate, AggregatedGenStats, GeneratorConfig};
 use flexray_model::{PhyParams, UtilSummary};
 use flexray_opt::{OptParams, OptResult, SaParams};
@@ -142,16 +139,17 @@ fn resume_of_a_non_prefix_subset_also_completes() {
 // Degenerate grids vs the single-axis harnesses
 // ---------------------------------------------------------------------
 
-fn sweep_cfg(axis: SweepAxis) -> SweepConfig {
-    SweepConfig {
+/// The sweep preset at smoke scale on a small base.
+fn sweep_cfg(axis: SweepAxis) -> GridConfig {
+    GridConfig {
         base: GeneratorConfig::small(3),
-        axis,
         apps_per_point: 2,
         algos: vec![Algo::Bbc, Algo::Sa],
         params: smoke_params(),
         sa: smoke_sa(),
         seed0: 7,
         threads: 1,
+        ..flexray_bench::sweep::preset(axis)
     }
 }
 
@@ -162,47 +160,66 @@ fn degenerate_grid_equals_single_axis_sweep_bit_for_bit() {
         SweepAxis::GraphDepth(vec![3, 5]),
         SweepAxis::GatewayFraction(vec![0.0, 0.6]),
         SweepAxis::BusUtil(vec![0.2, 0.4]),
+        SweepAxis::Clusters(vec![1, 2]),
     ] {
-        let cfg = sweep_cfg(axis.clone());
-        let sweep = run_sweep(&cfg).expect("sweep");
-        let grid_cfg = GridConfig {
-            base: cfg.base.clone(),
+        let preset = flexray_bench::sweep::preset(axis.clone());
+        let hand_built = GridConfig {
+            base: GeneratorConfig::paper(5),
             axes: vec![axis],
-            apps_per_point: cfg.apps_per_point,
-            algos: cfg.algos.clone(),
-            params: cfg.params.clone(),
-            sa: cfg.sa,
-            seed0: cfg.seed0,
-            seed_policy: SeedPolicy::PointIndex,
-            threads: cfg.threads,
             workload: None,
+            apps_per_point: 3,
+            algos: Algo::ALL.to_vec(),
+            params: OptParams::default(),
+            sa: SaParams::default(),
+            seed0: 42,
+            seed_policy: SeedPolicy::PointIndex,
+            threads: 0,
         };
-        let grid = run_grid(&grid_cfg).expect("grid");
-        assert_eq!(sweep.len(), grid.len());
-        for (s, g) in sweep.iter().zip(&grid) {
-            let as_sweep = SweepPoint {
-                label: g.label.clone(),
-                algos: g.algos.clone(),
-            };
-            assert!(
-                s.deterministic_eq(&as_sweep),
-                "{s:?} vs {as_sweep:?} diverged"
-            );
-        }
+        assert_eq!(
+            GridReportHeader::of(&preset).to_line().expect("header"),
+            GridReportHeader::of(&hand_built).to_line().expect("header"),
+            "the sweep preset is the one-axis grid over paper(5)"
+        );
+        assert_eq!(preset.threads, hand_built.threads);
     }
 }
 
 // ---------------------------------------------------------------------
-// Differential: refactored harnesses vs their pre-grid reference loops
+// Differential: grid presets vs their pre-grid reference loops
 // ---------------------------------------------------------------------
 
+/// Deterministic equality of a grid run and a reference run given as
+/// `(label, per-algorithm stats)` per point.
+fn assert_matches_reference(
+    engine: &[GridPoint],
+    reference: &[(String, Vec<(String, AlgoStats)>)],
+    context: &str,
+) {
+    assert_eq!(engine.len(), reference.len(), "{context}");
+    for (e, (label, algos)) in engine.iter().zip(reference) {
+        let as_grid = GridPoint {
+            label: label.clone(),
+            algos: algos.clone(),
+            ..e.clone()
+        };
+        assert!(
+            e.deterministic_eq(&as_grid),
+            "{context}: {e:?} vs {as_grid:?} diverged"
+        );
+    }
+}
+
 /// The single-axis sweep exactly as implemented before the grid
-/// refactor: a serial per-point loop over per-seed applications.
-fn reference_sweep(cfg: &SweepConfig) -> Vec<SweepPoint> {
+/// refactor: a serial per-point loop over per-seed applications of the
+/// preset's one axis.
+fn reference_sweep(cfg: &GridConfig) -> Vec<(String, Vec<(String, AlgoStats)>)> {
+    let [axis] = cfg.axes.as_slice() else {
+        panic!("a sweep preset has exactly one axis")
+    };
     let names: Vec<&str> = cfg.algos.iter().map(|a| a.name()).collect();
     let mut out = Vec::new();
-    for p in 0..cfg.axis.len() {
-        let (label, gen_cfg) = cfg.axis.configure(&cfg.base, p);
+    for p in 0..axis.len() {
+        let (label, gen_cfg) = axis.configure(&cfg.base, p);
         gen_cfg.validate().expect("derived config");
         let per_app: Vec<Vec<OptResult>> = (0..cfg.apps_per_point)
             .map(|i| {
@@ -222,22 +239,23 @@ fn reference_sweep(cfg: &SweepConfig) -> Vec<SweepPoint> {
                     .collect()
             })
             .collect();
-        out.push(SweepPoint {
-            label,
-            algos: aggregate_algos(&names, &per_app, cfg.reference()),
-        });
+        out.push((label, aggregate_algos(&names, &per_app, cfg.reference())));
     }
     out
 }
 
 /// Fig9 exactly as implemented before the grid refactor: paper
-/// configuration per node count, seeds `seed0 + 1000·n + i`.
-fn reference_fig9(cfg: &Fig9Config) -> Vec<PointStats> {
+/// configuration per node count of the preset's axis, seeds
+/// `seed0 + 1000·n + i`.
+fn reference_fig9(cfg: &GridConfig) -> Vec<(String, Vec<(String, AlgoStats)>)> {
+    let [SweepAxis::NodeCount(node_counts)] = cfg.axes.as_slice() else {
+        panic!("the fig9 preset has one node-count axis")
+    };
     let phy = PhyParams::bmw_like();
     let names: Vec<&str> = Algo::ALL.iter().map(|a| a.name()).collect();
     let sa_idx = Algo::ALL.iter().position(|&a| a == Algo::Sa);
     let mut out = Vec::new();
-    for &n in &cfg.node_counts {
+    for &n in node_counts {
         let gen_cfg = GeneratorConfig::paper(n);
         let per_app: Vec<Vec<OptResult>> = (0..cfg.apps_per_point)
             .map(|i| {
@@ -257,10 +275,10 @@ fn reference_fig9(cfg: &Fig9Config) -> Vec<PointStats> {
                     .collect()
             })
             .collect();
-        out.push(PointStats {
-            n_nodes: n,
-            algos: aggregate_algos(&names, &per_app, sa_idx),
-        });
+        out.push((
+            format!("nodes={n}"),
+            aggregate_algos(&names, &per_app, sa_idx),
+        ));
     }
     out
 }
@@ -274,19 +292,16 @@ fn refactored_sweep_matches_the_pre_grid_reference_implementation() {
         // the reference runs serially; the engine must match at any
         // worker count
         for threads in [1usize, 4] {
-            let cfg = SweepConfig {
+            let cfg = GridConfig {
                 threads,
                 ..sweep_cfg(axis.clone())
             };
-            let engine = run_sweep(&cfg).expect("engine sweep");
-            let reference = reference_sweep(&cfg);
-            assert_eq!(engine.len(), reference.len());
-            for (e, r) in engine.iter().zip(&reference) {
-                assert!(
-                    e.deterministic_eq(r),
-                    "threads {threads}: {e:?} vs {r:?} diverged"
-                );
-            }
+            let engine = run_grid(&cfg).expect("engine sweep");
+            assert_matches_reference(
+                &engine,
+                &reference_sweep(&cfg),
+                &format!("threads {threads}"),
+            );
         }
     }
 }
@@ -294,8 +309,7 @@ fn refactored_sweep_matches_the_pre_grid_reference_implementation() {
 #[test]
 fn refactored_fig9_matches_the_pre_grid_reference_implementation() {
     for threads in [1usize, 4] {
-        let cfg = Fig9Config {
-            node_counts: vec![2, 3],
+        let cfg = GridConfig {
             apps_per_point: 2,
             params: smoke_params(),
             sa: SaParams {
@@ -304,25 +318,21 @@ fn refactored_fig9_matches_the_pre_grid_reference_implementation() {
             },
             seed0: 7,
             threads,
+            ..flexray_bench::fig9::preset(vec![2, 3])
         };
-        let engine = run_experiment(&cfg).expect("engine fig9");
-        let reference = reference_fig9(&cfg);
-        assert_eq!(engine.len(), reference.len());
-        for (e, r) in engine.iter().zip(&reference) {
-            assert!(
-                e.deterministic_eq(r),
-                "threads {threads}: {e:?} vs {r:?} diverged"
-            );
-        }
+        let engine = run_grid(&cfg).expect("engine fig9");
+        assert_matches_reference(
+            &engine,
+            &reference_fig9(&cfg),
+            &format!("threads {threads}"),
+        );
     }
 
-    let empty = Fig9Config {
-        node_counts: Vec::new(),
-        ..Fig9Config::default()
-    };
+    let err = flexray_bench::args::parse("fig9", flexray_bench::args::Front::Cli, &["nodes="])
+        .expect_err("an empty node-count list is rejected");
     assert!(
-        run_experiment(&empty).expect("empty").is_empty(),
-        "empty node-count list keeps returning an empty experiment"
+        err.to_string().contains("'nodes'"),
+        "the error names the key: {err}"
     );
 }
 

@@ -134,12 +134,7 @@ impl Evaluator {
         analysis_cfg: AnalysisConfig,
         threads: usize,
     ) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            threads
-        };
-        let workers = (1..threads)
+        let workers = (1..flexray_util::worker_threads(threads))
             .map(|_| AnalysisSession::new(platform.clone(), app.clone(), analysis_cfg))
             .collect();
         Evaluator {

@@ -264,15 +264,6 @@ impl JournalSink for JournalWriter<'_> {
     }
 }
 
-/// Effective worker count: `threads`, or all cores when 0.
-fn worker_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-}
-
 /// Writes `reports/<id>.jsonl` — the job's schema header followed by
 /// its point lines, straight from the journal's canonical point text.
 /// The codec's parse→write round trip is byte-stable, so a report
@@ -564,7 +555,7 @@ fn drain_pass(
     let (results, stopped) = run_schedule(
         &scan.jobs,
         cfg.jobs.max(1),
-        worker_threads(cfg.threads),
+        flexray_util::worker_threads(cfg.threads),
         control,
         Some(&stop_file),
         &mut journal,
@@ -597,12 +588,6 @@ fn drain_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn worker_threads_resolves_zero_to_all_cores() {
-        assert!(worker_threads(0) >= 1);
-        assert_eq!(worker_threads(3), 3);
-    }
 
     #[test]
     fn content_hash_ignores_how_the_bytes_are_split() {

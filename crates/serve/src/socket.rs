@@ -32,9 +32,12 @@
 //! error naming the offending token. Malformed requests never kill
 //! the connection — every line gets a reply, written as one segment
 //! with Nagle's algorithm off, so a round trip costs the request's
-//! handling, not a delayed-ACK stall. At most [`MAX_CONNECTIONS`]
-//! connections are served concurrently; excess connections get one
-//! `busy` error line and are closed.
+//! handling, not a delayed-ACK stall. A request line longer than
+//! [`MAX_REQUEST_BYTES`] gets one error reply and the connection is
+//! closed, so a client that never sends a newline cannot grow the
+//! daemon's memory. At most [`MAX_CONNECTIONS`] connections are served
+//! concurrently; excess connections get one `busy` error line and are
+//! closed.
 //!
 //! `submit`, `status` and `cancel` look ids up in a queue index kept
 //! under the queue lock: built by one scan on first use, then brought
@@ -60,6 +63,10 @@ use crate::spec::parse_job;
 /// Concurrent connection cap; the accept loop answers excess
 /// connections with a single `busy` error line.
 pub const MAX_CONNECTIONS: usize = 16;
+
+/// Longest request line a connection may send, newline excluded; far
+/// above any job-spec line.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Longest a repeated `status` query waits for the job's state to
 /// change before answering with the unchanged state.
@@ -425,14 +432,39 @@ fn serve_connection(shared: &SocketShared, stream: TcpStream) {
         return;
     };
     let mut writer = stream;
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut last_status = None;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    // one byte past the cap tells an over-long line from one that ends
+    // exactly at it
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    loop {
+        buf.clear();
+        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_BYTES {
+            let reply =
+                reply_err(&format!("request line exceeds {MAX_REQUEST_BYTES} bytes")) + "\n";
+            let _ = writer.write_all(reply.as_bytes());
+            // FIN before the close, so the client reads the reply and
+            // then end of stream
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let mut reply = handle_in(shared, &mut last_status, &line);
+        let mut reply = handle_in(shared, &mut last_status, line);
         reply.push('\n');
         if writer.write_all(reply.as_bytes()).is_err() {
             break;

@@ -6,56 +6,40 @@
 //! {"schema":"flexray-serve-job","version":1,"id":"g1","kind":"grid","args":["nodes=2,3","apps=1","mode=smoke"]}
 //! ```
 //!
-//! `kind` selects the harness and `args` reuses the `key=value`
-//! grammar of the corresponding `flexray-bench` binary (`grid`,
-//! `sweep`, `fig9`, `fuzz`), parsed by the same strict helpers
-//! ([`parse_algo_set`], [`parse_thread_count`], [`search_mode`]) —
-//! every malformed token is rejected with an error *naming the token*,
-//! and the daemon journals the rejection instead of crashing.
-//!
-//! Grid jobs also take `clusters=…` (the multi-cluster axis) and
-//! `workload=FILE`, which imports a workgraph interchange file
-//! ([`flexray_bench::workload`]) as the job's single fixed scenario —
-//! the file is read when the spec line is parsed, and the report
-//! header pins the workload's fingerprint.
+//! `kind` names the harness (`grid`, `sweep`, `fig9` or `fuzz`) and
+//! `args` are parsed by the shared `key=value` grammar of
+//! [`flexray_bench::args`] — the same parser the `flexray-bench`
+//! binaries of those names run on their command lines, so a job's
+//! `args` are exactly a command line of its binary. Every malformed
+//! token is rejected with an error *naming the token*, and the daemon
+//! journals the rejection instead of crashing.
 //!
 //! Keys the daemon owns — `threads` (unit dispatch is the daemon's),
 //! `out`/`csv` (reports live under the daemon's report directory) and
 //! `resume` (the journal is the resume mechanism) — are rejected.
 //! `eval_threads` *is* allowed: it sizes the warm multi-session
 //! `Evaluator` pool each unit's candidate evaluations fan out across,
-//! and is bit-identical for any value.
+//! and is bit-identical for any value. A `workload=FILE` grid job reads
+//! and imports the file when the spec line is parsed, and the report
+//! header pins the workload's fingerprint.
 //!
-//! `sweep` and `fig9` jobs desugar to grid configurations exactly like
-//! their binaries do (a single-axis grid, and the node-count grid with
-//! the historical per-node-count seed offsets, respectively), so all
-//! four kinds reduce to two execution plans: [`JobKind::Grid`] and
-//! [`JobKind::Fuzz`].
+//! `sweep` and `fig9` jobs desugar to their grid presets
+//! ([`flexray_bench::sweep::preset`], [`flexray_bench::fig9::preset`]),
+//! so all four kinds reduce to two execution plans: [`JobKind::Grid`]
+//! and [`JobKind::Fuzz`].
 
-use flexray_bench::fuzz::FuzzConfig;
-use flexray_bench::grid::{GridConfig, SeedPolicy, WorkloadSource};
+use flexray_bench::args::{parse, Front};
 use flexray_bench::report::{arr_field, malformed, num_field, str_field, Json};
-use flexray_bench::sweep::{parse_algo_set, parse_thread_count, search_mode, Algo, SweepAxis};
-use flexray_bench::workload::Workload;
-use flexray_gen::GeneratorConfig;
 use flexray_model::ModelError;
+
+/// The execution plan a job desugars to.
+pub use flexray_bench::args::Plan as JobKind;
 
 /// Schema identifier carried by every job-spec line.
 pub const JOB_SCHEMA: &str = "flexray-serve-job";
 /// Version of the job-spec layout; bump on any schema change (the
 /// golden test enforces the pairing).
 pub const JOB_SCHEMA_VERSION: u32 = 1;
-
-/// The execution plan a job desugars to.
-#[derive(Debug, Clone)]
-pub enum JobKind {
-    /// A factorial grid (also the plan of `sweep` and `fig9` jobs).
-    /// Boxed (like `Fuzz`) to keep the enum small: an imported
-    /// workload makes a grid configuration arbitrarily large.
-    Grid(Box<GridConfig>),
-    /// An execution-order fuzz campaign.
-    Fuzz(Box<FuzzConfig>),
-}
 
 /// One parsed job.
 #[derive(Debug, Clone)]
@@ -152,21 +136,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, ModelError> {
         })
         .collect::<Result<Vec<_>, _>>()?;
 
-    let kind = match kind_name.as_str() {
-        "grid" => JobKind::Grid(Box::new(parse_grid_args(&args, false)?)),
-        "sweep" => JobKind::Grid(Box::new(parse_grid_args(&args, true)?)),
-        "fig9" => JobKind::Grid(Box::new(parse_fig9_args(&args)?)),
-        "fuzz" => JobKind::Fuzz(Box::new(parse_fuzz_args(&args)?)),
-        other => {
-            return Err(malformed(&format!(
-                "unknown job kind '{other}' (expected grid, sweep, fig9 or fuzz)"
-            )))
-        }
-    };
-    match &kind {
-        JobKind::Grid(cfg) => cfg.validate()?,
-        JobKind::Fuzz(cfg) => cfg.validate()?,
-    }
+    let kind = parse(&kind_name, Front::Daemon, &args)?.plan;
     Ok(JobSpec {
         id,
         kind_name,
@@ -175,197 +145,13 @@ pub fn parse_job(line: &str) -> Result<JobSpec, ModelError> {
     })
 }
 
-/// Splits one `key=value` token; errors name the token.
-fn key_value(arg: &str) -> Result<(&str, &str), ModelError> {
-    arg.split_once('=')
-        .ok_or_else(|| malformed(&format!("expected key=value, got '{arg}'")))
-        .and_then(|(key, value)| {
-            if matches!(key, "threads" | "out" | "csv" | "resume") {
-                Err(malformed(&format!(
-                    "daemon-managed key '{key}' is not allowed in a job spec"
-                )))
-            } else {
-                Ok((key, value))
-            }
-        })
-}
-
-/// Parses a non-empty comma-separated value list; errors name the key.
-fn parse_values<T: std::str::FromStr>(key: &str, s: &str) -> Result<Vec<T>, ModelError> {
-    let values: Result<Vec<T>, _> = s.split(',').map(str::parse).collect();
-    match values {
-        Ok(v) if !v.is_empty() => Ok(v),
-        _ => Err(malformed(&format!(
-            "invalid value list '{s}' for key '{key}'"
-        ))),
-    }
-}
-
-fn bad_value(key: &str, value: &str) -> ModelError {
-    malformed(&format!("invalid value '{value}' for key '{key}'"))
-}
-
-/// The `grid` (and, with `single_axis`, `sweep`) argument grammar —
-/// the `grid` binary's options minus the daemon-managed keys.
-fn parse_grid_args(args: &[String], single_axis: bool) -> Result<GridConfig, ModelError> {
-    let mut cfg = GridConfig {
-        axes: Vec::new(),
-        threads: 1,
-        ..GridConfig::default()
-    };
-    let mut eval_threads: Option<usize> = None;
-    for arg in args {
-        let (key, value) = key_value(arg)?;
-        match key {
-            "nodes" => cfg
-                .axes
-                .push(SweepAxis::NodeCount(parse_values(key, value)?)),
-            "depth" => cfg
-                .axes
-                .push(SweepAxis::GraphDepth(parse_values(key, value)?)),
-            "gateway" => cfg
-                .axes
-                .push(SweepAxis::GatewayFraction(parse_values(key, value)?)),
-            "busutil" => cfg.axes.push(SweepAxis::BusUtil(parse_values(key, value)?)),
-            "clusters" => cfg
-                .axes
-                .push(SweepAxis::Clusters(parse_values(key, value)?)),
-            "workload" => {
-                let text = std::fs::read_to_string(value)
-                    .map_err(|e| malformed(&format!("cannot read workload file '{value}': {e}")))?;
-                let workload = Workload::import(&text)
-                    .map_err(|e| malformed(&format!("workload file '{value}': {e}")))?;
-                let name = std::path::Path::new(value)
-                    .file_stem()
-                    .map_or_else(|| value.to_owned(), |s| s.to_string_lossy().into_owned());
-                cfg.workload = Some(WorkloadSource { name, workload });
-            }
-            "apps" => cfg.apps_per_point = value.parse().map_err(|_| bad_value(key, value))?,
-            "mode" => match search_mode(value) {
-                Some((params, sa)) => {
-                    cfg.params = params;
-                    cfg.sa = sa;
-                }
-                None => return Err(bad_value(key, value)),
-            },
-            "eval_threads" => eval_threads = Some(parse_thread_count(value)?),
-            "seed0" => cfg.seed0 = value.parse().map_err(|_| bad_value(key, value))?,
-            "algos" => cfg.algos = parse_algo_set(value)?,
-            _ => return Err(malformed(&format!("unknown grid key '{key}'"))),
-        }
-    }
-    if let Some(threads) = eval_threads {
-        cfg.params.eval_threads = threads;
-    }
-    if cfg.axes.is_empty() && cfg.workload.is_none() {
-        return Err(malformed("a grid job needs at least one axis"));
-    }
-    if single_axis && cfg.axes.len() != 1 {
-        return Err(malformed(&format!(
-            "a sweep job takes exactly one axis, got {}",
-            cfg.axes.len()
-        )));
-    }
-    Ok(cfg)
-}
-
-/// The `fig9` argument grammar, desugared exactly like
-/// `fig9::run_experiment`: a node-count grid over the paper base with
-/// the historical `seed0 + 1000·n + i` seed schedule.
-fn parse_fig9_args(args: &[String]) -> Result<GridConfig, ModelError> {
-    let mut node_counts: Vec<usize> = vec![2, 3, 4, 5];
-    let mut apps_per_point = 5usize;
-    let mut params = flexray_opt::OptParams::default();
-    let mut sa = flexray_opt::SaParams::default();
-    let mut seed0 = 42u64;
-    let mut eval_threads: Option<usize> = None;
-    for arg in args {
-        let (key, value) = key_value(arg)?;
-        match key {
-            "nodes" => node_counts = parse_values(key, value)?,
-            "apps" => apps_per_point = value.parse().map_err(|_| bad_value(key, value))?,
-            "mode" => match search_mode(value) {
-                Some((p, s)) => {
-                    params = p;
-                    sa = s;
-                }
-                None => return Err(bad_value(key, value)),
-            },
-            "eval_threads" => eval_threads = Some(parse_thread_count(value)?),
-            "seed0" => seed0 = value.parse().map_err(|_| bad_value(key, value))?,
-            _ => return Err(malformed(&format!("unknown fig9 key '{key}'"))),
-        }
-    }
-    if let Some(threads) = eval_threads {
-        params.eval_threads = threads;
-    }
-    Ok(GridConfig {
-        base: GeneratorConfig::paper(2),
-        axes: vec![SweepAxis::NodeCount(node_counts.clone())],
-        apps_per_point,
-        algos: Algo::ALL.to_vec(),
-        params,
-        sa,
-        seed0,
-        seed_policy: SeedPolicy::PointOffsets(
-            node_counts.iter().map(|&n| 1000 * n as u64).collect(),
-        ),
-        threads: 1,
-        workload: None,
-    })
-}
-
-/// The `fuzz` argument grammar — the `fuzz` binary's options minus the
-/// daemon-managed keys.
-fn parse_fuzz_args(args: &[String]) -> Result<FuzzConfig, ModelError> {
-    let mut cfg = FuzzConfig {
-        axes: Vec::new(),
-        threads: 1,
-        ..FuzzConfig::default()
-    };
-    let mut eval_threads: Option<usize> = None;
-    for arg in args {
-        let (key, value) = key_value(arg)?;
-        match key {
-            "nodes" => cfg
-                .axes
-                .push(SweepAxis::NodeCount(parse_values(key, value)?)),
-            "depth" => cfg
-                .axes
-                .push(SweepAxis::GraphDepth(parse_values(key, value)?)),
-            "gateway" => cfg
-                .axes
-                .push(SweepAxis::GatewayFraction(parse_values(key, value)?)),
-            "busutil" => cfg.axes.push(SweepAxis::BusUtil(parse_values(key, value)?)),
-            "apps" => cfg.apps_per_point = value.parse().map_err(|_| bad_value(key, value))?,
-            "orders" => cfg.order_seeds = parse_values(key, value)?,
-            "reps" => cfg.reps = value.parse().map_err(|_| bad_value(key, value))?,
-            "compress" => match value {
-                "on" => cfg.compress = true,
-                "off" => cfg.compress = false,
-                _ => return Err(bad_value(key, value)),
-            },
-            "mode" => match search_mode(value) {
-                Some((params, _)) => cfg.params = params,
-                None => return Err(bad_value(key, value)),
-            },
-            "eval_threads" => eval_threads = Some(parse_thread_count(value)?),
-            "seed0" => cfg.seed0 = value.parse().map_err(|_| bad_value(key, value))?,
-            _ => return Err(malformed(&format!("unknown fuzz key '{key}'"))),
-        }
-    }
-    if let Some(threads) = eval_threads {
-        cfg.params.eval_threads = threads;
-    }
-    if cfg.axes.is_empty() {
-        return Err(malformed("a fuzz job needs at least one axis"));
-    }
-    Ok(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexray_bench::grid::SeedPolicy;
+    use flexray_bench::sweep::SweepAxis;
+    use flexray_bench::workload::Workload;
+    use flexray_gen::GeneratorConfig;
 
     fn line(id: &str, kind: &str, args: &[&str]) -> String {
         let args = args

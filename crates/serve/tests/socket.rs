@@ -6,14 +6,14 @@
 //! kill-mid-`submit` crash test proving the queue file is never torn.
 
 use std::fs::{self, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flexray_serve::socket::STATUS_WAIT;
+use flexray_serve::socket::{MAX_REQUEST_BYTES, STATUS_WAIT};
 use flexray_serve::{
     handle_request, parse_job, run_serve_with, spawn_listener, JobView, ServeConfig, ServeControl,
     SocketShared,
@@ -386,6 +386,64 @@ fn a_repeated_status_waits_for_news_only_while_the_job_is_live() {
         "20 statuses of a done job took {:?}: terminal repeats must not wait",
         start.elapsed()
     );
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_its_connection_closed() {
+    let dir = workdir("socket_line_cap");
+    fs::write(dir.join("jobs.jsonl"), format!("{}\n", spec("q1"))).expect("write queue");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    spawn_listener(listener, Arc::new(shared(&dir)));
+    let mut watcher = connect(&addr);
+    let status = r#"{"req":"status","id":"q1"}"#;
+    let watch = |watcher: &mut ClientConn| {
+        let reply = watcher.request(status);
+        assert!(reply.contains(r#""state":"queued""#), "status: {reply}");
+    };
+    watch(&mut watcher);
+
+    // A line of exactly the cap is an ordinary (malformed) request.
+    let mut conn = connect(&addr);
+    let reply = conn.request(&"x".repeat(MAX_REQUEST_BYTES));
+    assert!(
+        reply.starts_with(r#"{"ok":false"#)
+            && reply.contains("malformed request")
+            && !reply.contains("exceeds"),
+        "a line at the cap is parsed, not refused: {}",
+        &reply[..reply.len().min(200)]
+    );
+    assert!(conn.request(status).contains(r#""state":"queued""#));
+
+    // 1 MiB without a newline: one cap error, then end of stream.
+    let flood = TcpStream::connect(&addr).expect("connect");
+    flood
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut flood_writer = flood.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..16 {
+            if flood_writer.write_all(&chunk).is_err() {
+                break; // the daemon closed the connection
+            }
+        }
+    });
+    watch(&mut watcher);
+    let mut flood = BufReader::new(flood);
+    let mut reply = String::new();
+    flood.read_line(&mut reply).expect("cap reply");
+    assert_eq!(
+        reply,
+        format!(r#"{{"ok":false,"error":"request line exceeds {MAX_REQUEST_BYTES} bytes"}}"#)
+            + "\n"
+    );
+    watch(&mut watcher);
+    let mut rest = Vec::new();
+    flood.read_to_end(&mut rest).expect("end of stream");
+    assert!(rest.is_empty(), "nothing follows the cap error");
+    sender.join().expect("sender");
+    watch(&mut watcher);
 }
 
 #[test]

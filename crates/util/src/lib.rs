@@ -8,7 +8,8 @@
 //! ([`scoped_consume_with`]) behind the `flexray-serve` job
 //! dispatcher, and its quit-aware form ([`scoped_consume_until`])
 //! behind the daemon's graceful stop. All are projections of one
-//! primitive: [`scoped_consume_until`].
+//! primitive: [`scoped_consume_until`]. [`worker_threads`] is the one
+//! place the "`0` means all cores" thread-count rule is resolved.
 //!
 //! The pool lived in `flexray_bench::sweep` originally.
 
@@ -188,9 +189,26 @@ where
         .collect()
 }
 
+/// Resolves a configured thread count: `threads`, or the available
+/// hardware parallelism when it is `0` (1 when that cannot be read).
+#[must_use]
+pub fn worker_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_threads_resolves_zero_to_all_cores() {
+        assert!(worker_threads(0) >= 1);
+        assert_eq!(worker_threads(3), 3);
+    }
 
     #[test]
     fn scoped_map_is_order_preserving_for_any_thread_count() {

@@ -56,8 +56,8 @@ fn fig_binaries_exit_zero() {
         "--bin",
         "fig9",
         "--",
-        "1",
-        "3",
-        "fast",
+        "nodes=2,3",
+        "apps=1",
+        "mode=fast",
     ]);
 }

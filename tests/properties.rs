@@ -780,9 +780,8 @@ proptest! {
     /// on every deterministic output, for arbitrary base seeds.
     #[test]
     fn fig9_parallel_equals_serial(seed0 in 0u64..10_000) {
-        use flexray_bench::fig9::{run_experiment, Fig9Config};
-        let serial_cfg = Fig9Config {
-            node_counts: vec![2],
+        use flexray_bench::grid::{run_grid, GridConfig};
+        let serial_cfg = GridConfig {
             apps_per_point: 3,
             params: OptParams {
                 max_extra_slots: 2,
@@ -794,10 +793,11 @@ proptest! {
             sa: SaParams { iterations: 25, ..SaParams::default() },
             seed0,
             threads: 1,
+            ..flexray_bench::fig9::preset(vec![2])
         };
-        let parallel_cfg = Fig9Config { threads: 3, ..serial_cfg.clone() };
-        let serial = run_experiment(&serial_cfg).expect("serial run");
-        let parallel = run_experiment(&parallel_cfg).expect("parallel run");
+        let parallel_cfg = GridConfig { threads: 3, ..serial_cfg.clone() };
+        let serial = run_grid(&serial_cfg).expect("serial run");
+        let parallel = run_grid(&parallel_cfg).expect("parallel run");
         prop_assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             prop_assert!(
